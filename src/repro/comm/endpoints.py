@@ -19,11 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import RunObserver
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CommModel
-from repro.sim.engine import Engine, Get, Signal, Store, Timeout
+from repro.sim.engine import Engine, Get, Signal, Store
 from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
 
-__all__ = ["CommContext", "Node", "heartbeat_loop", "HEARTBEAT_BYTES"]
+__all__ = ["CommContext", "Node", "HEARTBEAT_BYTES"]
 
 #: Wire size of one heartbeat control message.
 HEARTBEAT_BYTES = 32
@@ -100,36 +100,17 @@ class Node:
         payload: Any = None,
         meta: dict[str, Any] | None = None,
         trace_worker: int | None = None,
-        tx_done: Signal | None = None,
-        oob: bool = False,
     ) -> Signal:
         """Transmit a message; returns the delivery signal.
 
         The message lands in ``dst.mailbox(kind)`` when the simulated
-        transfer completes. If ``trace_worker`` is set, the wire time is
-        recorded as a ``comm`` span for that worker.
+        transfer completes, and the returned Signal triggers right
+        after that deposit (or after the epoch-fenced drop). If
+        ``trace_worker`` is set, the wire time is recorded as a ``comm``
+        span for that worker.
         """
-        ctx = self.ctx
-        msg = Message(
-            src=self.node_id,
-            dst=dst.node_id,
-            kind=kind,
-            nbytes=nbytes,
-            payload=payload,
-            meta=meta if meta is not None else _EMPTY_META,
-            send_time=ctx.engine.now,
-        )
-        self.sent_messages += 1
-        self.sent_bytes += nbytes
-        done = ctx.network.transfer(
-            self.machine, dst.machine, nbytes, tx_done=tx_done, oob=oob
-        )
-        if done.triggered:
-            self._deliver(None, msg, ctx.epoch, dst, trace_worker)
-        else:
-            done._waiters.append(
-                (self._deliver, (msg, ctx.epoch, dst, trace_worker))
-            )
+        done = Signal()
+        self._send(dst, kind, nbytes, payload, meta, trace_worker, None, done)
         return done
 
     def send_nowait(
@@ -141,19 +122,29 @@ class Node:
         payload: Any = None,
         meta: dict[str, Any] | None = None,
         trace_worker: int | None = None,
-        oob: bool = False,
+        tx_done: Signal | None = None,
     ) -> None:
-        """Fire-and-forget :meth:`send`: no delivery Signal.
+        """:meth:`send` without a delivery Signal.
 
-        Identical wire accounting, timing and delivery semantics, but
-        the mailbox deposit is scheduled directly on the event queue.
-        Nearly every protocol message is sent this way — senders wait
-        on *replies* (their own mailboxes), never on delivery of what
-        they sent — and skipping the Signal machinery is a measurable
-        share of per-message cost. Use :meth:`send` when the caller
-        needs the delivery signal or blocking-send (``tx_done``)
-        semantics.
+        Nearly every protocol message is sent this way: senders wait on
+        *replies* (their own mailboxes), never on delivery of what they
+        sent. ``tx_done``, if given, triggers once the sender's port has
+        serialised the message (blocking-send semantics).
         """
+        self._send(dst, kind, nbytes, payload, meta, trace_worker, tx_done, None)
+
+    def _send(
+        self,
+        dst: "Node",
+        kind: str,
+        nbytes: int,
+        payload: Any,
+        meta: dict[str, Any] | None,
+        trace_worker: int | None,
+        tx_done: Signal | None,
+        done: Signal | None,
+    ) -> None:
+        """Build and charge one :class:`Message` and start its transfer."""
         ctx = self.ctx
         msg = Message(
             self.node_id,
@@ -171,39 +162,42 @@ class Node:
             dst.machine,
             nbytes,
             self._deliver,
-            (None, msg, ctx.epoch, dst, trace_worker),
-            oob=oob,
+            (done, msg, ctx.epoch, dst, trace_worker),
+            tx_done=tx_done,
         )
 
     def _deliver(
         self,
-        _value: Any,
+        done: Signal | None,
         msg: Message,
         epoch: int,
         dst: "Node",
         trace_worker: int | None,
     ) -> None:
-        """Land ``msg`` in the destination mailbox (delivery callback)."""
+        """Land ``msg`` in the destination mailbox (delivery callback),
+        then trigger ``done`` if the sender holds a delivery Signal."""
         ctx = self.ctx
         if ctx.epoch != epoch:
             ctx.dropped_messages += 1
-            return
-        now = ctx.engine.now
-        msg.recv_time = now
-        if trace_worker is not None and self._trace_record is not None:
-            self._trace_record(trace_worker, "comm", msg.send_time, now)
-        if self._obs_on_message is not None:
-            self._obs_on_message(
-                src_machine=self.machine,
-                dst_machine=dst.machine,
-                kind=msg.kind,
-                nbytes=msg.nbytes,
-                t_send=msg.send_time,
-                t_recv=now,
-                src_node=self.node_id,
-                dst_node=dst.node_id,
-            )
-        dst.mailbox(msg.kind).put(msg)
+        else:
+            now = ctx.engine.now
+            msg.recv_time = now
+            if trace_worker is not None and self._trace_record is not None:
+                self._trace_record(trace_worker, "comm", msg.send_time, now)
+            if self._obs_on_message is not None:
+                self._obs_on_message(
+                    src_machine=self.machine,
+                    dst_machine=dst.machine,
+                    kind=msg.kind,
+                    nbytes=msg.nbytes,
+                    t_send=msg.send_time,
+                    t_recv=now,
+                    src_node=self.node_id,
+                    dst_node=dst.node_id,
+                )
+            dst.mailbox(msg.kind).put(msg)
+        if done is not None:
+            done.trigger(None)
 
     def recv(self, kind: str) -> Get:
         """Yieldable: next message of ``kind`` (FIFO)."""
@@ -225,28 +219,3 @@ class Node:
             return
         for box in self._mailboxes.values():
             box.clear()
-
-
-def heartbeat_loop(
-    node: Node,
-    monitor: Node,
-    worker: int,
-    interval: float,
-    runtime,
-):
-    """Process body: periodically announce liveness to ``monitor``.
-
-    Beats land as ordinary messages in ``monitor``'s ``"hb"`` mailbox.
-    The fault controller no longer uses this loop — its failure
-    detector runs beats as a callback chain on the engine's fast path
-    (see ``repro.faults.controller``) — but the generator form remains
-    the reference implementation and the building block for custom
-    monitors.
-    """
-    while not runtime.stopping:
-        yield Timeout(interval)
-        if runtime.stopping:
-            return
-        node.send_nowait(
-            monitor, "hb", nbytes=HEARTBEAT_BYTES, meta={"worker": worker}, oob=True
-        )

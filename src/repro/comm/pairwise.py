@@ -9,16 +9,16 @@ active→passive exchange edges, making the wait-for graph bipartite and
 therefore acyclic in the direction of blocking.
 
 :func:`verify_deadlock_free` states that argument as a checkable
-property with :mod:`networkx`: orienting every possible wait edge from
-active to passive yields a DAG (in fact a 2-layer DAG).
+property: orienting every possible wait edge from active to passive
+yields a DAG (in fact a 2-layer DAG), confirmed by a topological sort.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
+    "ExchangeGraph",
     "bipartite_split",
     "build_exchange_graph",
     "verify_deadlock_free",
@@ -40,39 +40,65 @@ def bipartite_split(world: int) -> tuple[list[int], list[int]]:
     return active, passive
 
 
-def build_exchange_graph(world: int) -> nx.Graph:
+class ExchangeGraph:
+    """Undirected exchange graph: a ``role`` per rank and adjacency sets."""
+
+    def __init__(self, roles: dict[int, str]) -> None:
+        self.role = dict(roles)
+        self.adj: dict[int, set[int]] = {rank: set() for rank in roles}
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+
+    def neighbors(self, rank: int) -> set[int]:
+        return self.adj[rank]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in self.adj for v in self.adj[u] if u < v]
+
+
+def build_exchange_graph(world: int) -> ExchangeGraph:
     """Complete bipartite exchange graph between active and passive sets."""
     active, passive = bipartite_split(world)
-    graph = nx.Graph()
-    graph.add_nodes_from(active, role="active")
-    graph.add_nodes_from(passive, role="passive")
-    graph.add_edges_from((a, p) for a in active for p in passive)
+    roles = {rank: "active" if rank in active else "passive" for rank in range(world)}
+    graph = ExchangeGraph(roles)
+    for a in active:
+        for p in passive:
+            graph.add_edge(a, p)
     return graph
 
 
-def verify_deadlock_free(graph: nx.Graph) -> bool:
+def verify_deadlock_free(graph: ExchangeGraph) -> bool:
     """True iff the blocking-direction orientation of ``graph`` is acyclic.
 
     Every exchange blocks the active side on the passive side; orienting
-    all edges active→passive must give a DAG. Graphs with an edge inside
-    one role class (or mislabeled nodes) fail.
+    all edges active→passive must give a DAG, which Kahn's algorithm
+    confirms by peeling off every rank nobody waits on. Graphs with an
+    edge inside one role class (or mislabeled nodes) fail.
     """
-    directed = nx.DiGraph()
-    directed.add_nodes_from(graph.nodes)
-    for u, v in graph.edges:
-        role_u = graph.nodes[u].get("role")
-        role_v = graph.nodes[v].get("role")
-        if role_u == role_v:
+    waits_on: dict[int, list[int]] = {rank: [] for rank in graph.adj}
+    indegree = dict.fromkeys(graph.adj, 0)
+    for u, v in graph.edges():
+        if graph.role.get(u) == graph.role.get(v):
             return False  # an intra-class edge could block peer-on-peer
-        if role_u == "active":
-            directed.add_edge(u, v)
-        else:
-            directed.add_edge(v, u)
-    return nx.is_directed_acyclic_graph(directed)
+        if graph.role.get(u) != "active":
+            u, v = v, u
+        waits_on[u].append(v)
+        indegree[v] += 1
+    ready = [rank for rank, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for v in waits_on[ready.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return peeled == len(indegree)
 
 
 def choose_passive_peer(
-    rank: int, graph: nx.Graph, rng: np.random.Generator
+    rank: int, graph: ExchangeGraph, rng: np.random.Generator
 ) -> int | None:
     """Uniformly choose a passive neighbour of active worker ``rank``.
 

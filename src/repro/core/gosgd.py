@@ -66,7 +66,7 @@ def _gosgd_worker(
             share = gossip_send_share(state)
             payload = slot.comp.get_params() if slot.comp is not None else None
             tx_done = Signal()
-            slot.node.send(
+            slot.node.send_nowait(
                 rt.workers[target].node,
                 "gossip",
                 nbytes=model_bytes,

@@ -239,27 +239,19 @@ def send_gradient_plan(
             if rt.obs_grad_bytes is not None:
                 rt.obs_grad_bytes(slot.wid, nbytes)
             shard_node = rt.ps_nodes[entry.shard_id]
+            tx = None
             if block_tx:
                 tx = Signal()
                 tx_signals.append(tx)
-                slot.node.send(
-                    shard_node,
-                    kind,
-                    nbytes=nbytes,
-                    payload=payload,
-                    meta={**meta, "entry": entry.label},
-                    trace_worker=slot.wid,
-                    tx_done=tx,
-                )
-            else:
-                slot.node.send_nowait(
-                    shard_node,
-                    kind,
-                    nbytes=nbytes,
-                    payload=payload,
-                    meta={**meta, "entry": entry.label},
-                    trace_worker=slot.wid,
-                )
+            slot.node.send_nowait(
+                shard_node,
+                kind,
+                nbytes=nbytes,
+                payload=payload,
+                meta={**meta, "entry": entry.label},
+                trace_worker=slot.wid,
+                tx_done=tx,
+            )
         if tx_signals:
             # Blocking-send semantics: the caller does not regain
             # control until its NIC has serialised every message.
@@ -278,27 +270,19 @@ def send_gradient_plan(
         if rt.obs_grad_bytes is not None:
             rt.obs_grad_bytes(slot.wid, nbytes)
         shard_node = rt.ps_nodes[entry.shard_id]
+        tx = None
         if block_tx:
             tx = Signal()
             tx_signals.append(tx)
-            slot.node.send(
-                shard_node,
-                kind,
-                nbytes=nbytes,
-                payload=payload,
-                meta={**meta, "entry": entry.label},
-                trace_worker=slot.wid,
-                tx_done=tx,
-            )
-        else:
-            slot.node.send_nowait(
-                shard_node,
-                kind,
-                nbytes=nbytes,
-                payload=payload,
-                meta={**meta, "entry": entry.label},
-                trace_worker=slot.wid,
-            )
+        slot.node.send_nowait(
+            shard_node,
+            kind,
+            nbytes=nbytes,
+            payload=payload,
+            meta={**meta, "entry": entry.label},
+            trace_worker=slot.wid,
+            tx_done=tx,
+        )
     if elapsed < compute_duration:
         yield Timeout(compute_duration - elapsed)
     rt.tracer.end(slot.wid, "compute", rt.engine.now)

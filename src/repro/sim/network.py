@@ -206,21 +206,11 @@ class Network:
         nbytes: int,
         *,
         tx_done: Signal | None = None,
-        oob: bool = False,
     ) -> Signal:
         """Start a transfer now; returns a signal triggered at delivery.
 
-        Zero-byte transfers still pay latency (control messages).
-        ``tx_done``, if given, is triggered when the sender's port has
-        finished serialising the message — the point at which a
-        blocking MPI-style send returns.
-
-        ``oob`` marks an out-of-band control-plane message (heartbeats):
-        it travels the management network, so it pays latency but never
-        queues behind data-plane traffic on the NIC ports. Partitions
-        and outages still apply — the management network of a partitioned
-        machine is unreachable too, which is exactly what lets the
-        failure detector notice.
+        Validated wrapper over :meth:`transfer_cb` whose delivery
+        callback triggers the returned Signal; its waiters run inline.
         """
         if not 0 <= src_machine < self._machines:
             raise ValueError(f"src machine {src_machine} out of range")
@@ -228,72 +218,9 @@ class Network:
             raise ValueError(f"dst machine {dst_machine} out of range")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        engine = self.engine
-        now = engine.now
         done = Signal()
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        fault_model = self.fault_model
-        if fault_model is not None and now >= fault_model.armed_until:
-            fault_model = None  # no fault window can touch this message
-
-        if oob:
-            if src_machine == dst_machine:
-                delay = self._intra_latency
-            else:
-                delay = self._latency
-                if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-                    delay += self._spine_latency
-                if fault_model is not None:
-                    rto = 2.0 * self._latency
-                    delay += fault_model.delivery_delay(
-                        src_machine, dst_machine, nbytes, now, rto
-                    )
-            if tx_done is not None:
-                tx_done.trigger(None, engine)
-            engine._at(delay, done.trigger, (None,))
-            return done
-
-        if src_machine == dst_machine:
-            bus = self.intra[src_machine]
-            _, end = bus.reserve(now, nbytes)
-            if self._obs_link_sample is not None:
-                self._obs_link_sample(bus, now)
-            if tx_done is not None:
-                engine._at(end - now, tx_done.trigger, (None, engine))
-            engine._at(end + self._intra_latency - now, done.trigger, (None,))
-            return done
-
-        if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-            self._start_inter_rack(
-                src_machine, dst_machine, nbytes, done.trigger, (None,),
-                tx_done, fault_model,
-            )
-            return done
-
-        tx = self.tx[src_machine]
-        start_tx, end_tx = tx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(tx, now)
-        if tx_done is not None:
-            engine._at(end_tx - now, tx_done.trigger, (None, engine))
-        first_bit_arrival = start_tx + self._latency
-
-        # Fault path: partitions and probabilistic drops manifest as
-        # extra delivery latency (retransmission, TCP-style), never as
-        # silent loss — a lost message would deadlock the synchronous
-        # protocols without any real-world analogue of ARQ to save them.
-        extra = 0.0
-        if fault_model is not None:
-            rto = 2.0 * self._latency + tx.service_time(nbytes)
-            extra = fault_model.delivery_delay(
-                src_machine, dst_machine, nbytes, now, rto
-            )
-
-        engine._at(
-            first_bit_arrival + extra - now,
-            self._on_arrival,
-            (dst_machine, nbytes, done),
+        self.transfer_cb(
+            src_machine, dst_machine, nbytes, done.trigger, (None,), tx_done=tx_done
         )
         return done
 
@@ -305,17 +232,16 @@ class Network:
         fn,
         args: tuple,
         *,
-        oob: bool = False,
+        tx_done: Signal | None = None,
     ) -> None:
-        """Fire-and-forget transfer: ``fn(*args)`` runs at delivery time.
+        """Start a transfer now; ``fn(*args)`` runs at delivery time.
 
-        Wire accounting, port reservations, latency and fault handling
-        are identical to :meth:`transfer`; the difference is that no
-        delivery Signal exists — the callback is scheduled directly, so
-        the per-message Signal allocation and trigger indirection are
-        gone. Event order matches :meth:`transfer` position for
-        position. Caller contract (internal fast path): machines are
-        valid node placements and ``nbytes >= 0``.
+        Zero-byte transfers still pay latency (control messages).
+        ``tx_done``, if given, is triggered when the sender's port has
+        finished serialising the message — the point at which a
+        blocking MPI-style send returns. Caller contract (internal fast
+        path): machines are valid node placements and ``nbytes >= 0``;
+        :meth:`transfer` checks both.
         """
         engine = self.engine
         now = engine.now
@@ -323,52 +249,54 @@ class Network:
         self.total_messages += 1
         fault_model = self.fault_model
         if fault_model is not None and now >= fault_model.armed_until:
-            fault_model = None
-
-        if oob:
-            if src_machine == dst_machine:
-                delay = self._intra_latency
-            else:
-                delay = self._latency
-                if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-                    delay += self._spine_latency
-                if fault_model is not None:
-                    rto = 2.0 * self._latency
-                    delay += fault_model.delivery_delay(
-                        src_machine, dst_machine, nbytes, now, rto
-                    )
-            engine._at(delay, fn, args)
-            return
+            fault_model = None  # no fault window can touch this message
 
         if src_machine == dst_machine:
             bus = self.intra[src_machine]
             _, end = bus.reserve(now, nbytes)
             if self._obs_link_sample is not None:
                 self._obs_link_sample(bus, now)
+            if tx_done is not None:
+                engine._at(end - now, tx_done.trigger, (None, engine))
             engine._at(end + self._intra_latency - now, fn, args)
-            return
-
-        if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-            self._start_inter_rack(
-                src_machine, dst_machine, nbytes, fn, args, None, fault_model
-            )
             return
 
         tx = self.tx[src_machine]
         start_tx, end_tx = tx.reserve(now, nbytes)
         if self._obs_link_sample is not None:
             self._obs_link_sample(tx, now)
+        if tx_done is not None:
+            engine._at(end_tx - now, tx_done.trigger, (None, engine))
+        inter_rack = (
+            self._hier and src_machine // self._mpr != dst_machine // self._mpr
+        )
+
+        # Fault path: partitions and probabilistic drops manifest as
+        # extra delivery latency (retransmission, TCP-style), never as
+        # silent loss — a lost message would deadlock the synchronous
+        # protocols without any real-world analogue of ARQ to save them.
         extra = 0.0
         if fault_model is not None:
-            rto = 2.0 * self._latency + tx.service_time(nbytes)
+            wire = self._latency + self._spine_latency if inter_rack else self._latency
+            rto = 2.0 * wire + tx.service_time(nbytes)
             extra = fault_model.delivery_delay(
                 src_machine, dst_machine, nbytes, now, rto
             )
-        engine._at(
-            start_tx + self._latency + extra - now,
-            self._on_arrival_cb,
-            (dst_machine, nbytes, fn, args),
-        )
+
+        if inter_rack:
+            half = self._half_latency
+            gate = end_tx + half + self._spine_latency + half
+            engine._at(
+                start_tx + half + extra - now,
+                self._on_uplink,
+                (src_machine // self._mpr, dst_machine, nbytes, fn, args, gate),
+            )
+        else:
+            engine._at(
+                start_tx + self._latency + extra - now,
+                self._on_arrival,
+                (dst_machine, nbytes, fn, args, 0.0),
+            )
 
     # -- hierarchical inter-rack path -----------------------------------
     #
@@ -381,40 +309,6 @@ class Network:
     # is split half before / half after the ToR tier, keeping the
     # uncontended end-to-end time at
     # ``network_latency + spine_latency + B/bottleneck_rate``.
-
-    def _start_inter_rack(
-        self,
-        src_machine: int,
-        dst_machine: int,
-        nbytes: int,
-        fn,
-        args: tuple,
-        tx_done: Signal | None,
-        fault_model,
-    ) -> None:
-        engine = self.engine
-        now = engine.now
-        tx = self.tx[src_machine]
-        start_tx, end_tx = tx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(tx, now)
-        if tx_done is not None:
-            engine._at(end_tx - now, tx_done.trigger, (None, engine))
-        extra = 0.0
-        if fault_model is not None:
-            rto = 2.0 * (self._latency + self._spine_latency) + tx.service_time(
-                nbytes
-            )
-            extra = fault_model.delivery_delay(
-                src_machine, dst_machine, nbytes, now, rto
-            )
-        half = self._half_latency
-        gate = end_tx + half + self._spine_latency + half
-        engine._at(
-            start_tx + half + extra - now,
-            self._on_uplink,
-            (src_machine // self._mpr, dst_machine, nbytes, fn, args, gate),
-        )
 
     def _on_uplink(
         self, src_rack: int, dst_machine: int, nbytes: int, fn, args: tuple,
@@ -451,13 +345,16 @@ class Network:
             gate = stage_gate
         engine._at(
             start_down + half - now,
-            self._on_rx_gated,
+            self._on_arrival,
             (dst_machine, nbytes, fn, args, gate),
         )
 
-    def _on_rx_gated(
+    def _on_arrival(
         self, dst_machine: int, nbytes: int, fn, args: tuple, gate: float
     ) -> None:
+        """First bit reached the receiver: serialise on its rx port,
+        then run the delivery callback at ``max(end_rx, gate)`` (the
+        gate is 0.0 on a flat or intra-rack path)."""
         engine = self.engine
         now = engine.now
         rx = self.rx[dst_machine]
@@ -467,26 +364,17 @@ class Network:
         delivery = end_rx if end_rx > gate else gate
         engine._at(delivery - now, fn, args)
 
-    def _on_arrival_cb(self, dst_machine: int, nbytes: int, fn, args: tuple) -> None:
-        """First bit reached the receiver (callback path): serialise on
-        its rx port, then run the delivery callback."""
-        engine = self.engine
-        now = engine.now
-        rx = self.rx[dst_machine]
-        _, end_rx = rx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(rx, now)
-        engine._at(end_rx - now, fn, args)
-
     def oob_delay(self, src_machine: int, dst_machine: int, nbytes: int) -> float:
         """Charge an out-of-band message and return its delivery delay.
 
-        The control-plane fast path: identical wire accounting, latency
-        and fault-window behaviour to ``transfer(..., oob=True)``, but
-        the caller schedules the delivery itself instead of receiving a
-        Signal — one queue event per message instead of a signal-trigger
-        chain. Heartbeats use this; their per-message rate is what makes
-        an armed-but-idle failure detector measurable at all.
+        The control plane (heartbeats) travels the management network:
+        a message pays latency but never queues behind data-plane
+        traffic on the NIC ports. Partitions and outages still apply —
+        the management network of a partitioned machine is unreachable
+        too, which is exactly what lets the failure detector notice.
+        The caller schedules the delivery itself, one queue event per
+        message; the beat rate is what makes an armed-but-idle failure
+        detector measurable at all.
         """
         self.total_bytes += nbytes
         self.total_messages += 1
@@ -502,21 +390,6 @@ class Network:
                 src_machine, dst_machine, nbytes, self.engine.now, rto
             )
         return delay
-
-    def _on_arrival(self, dst_machine: int, nbytes: int, done: Signal) -> None:
-        """First bit reached the receiver: serialise on its rx port."""
-        engine = self.engine
-        now = engine.now
-        rx = self.rx[dst_machine]
-        _, end_rx = rx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(rx, now)
-        # The trigger runs its waiters inline (no ``engine``): the only
-        # waiter of a delivery signal is the sender's mailbox-deposit
-        # callback, and deposits still reach the receiving process
-        # through the Store's zero-delay wake-up, so process resumption
-        # order is unchanged while each message costs one event less.
-        engine._at(end_rx - now, done.trigger, (None,))
 
     def port_stats(self) -> dict[str, dict[str, float]]:
         """Utilisation snapshot of every port (for analysis/tests)."""

@@ -19,13 +19,27 @@ def make_net(bw=10, machines=3):
     return eng, spec, Network(eng, spec)
 
 
-def run_transfer(eng, net, src, dst, nbytes, start=0.0, oob=False):
+def run_transfer(eng, net, src, dst, nbytes, start=0.0):
     done_at = []
 
     def proc():
         if start:
             yield Timeout(start)
-        yield net.transfer(src, dst, nbytes, oob=oob)
+        yield net.transfer(src, dst, nbytes)
+        done_at.append(eng.now)
+
+    eng.spawn(proc())
+    eng.run()
+    return done_at[0]
+
+
+def run_oob(eng, net, src, dst, nbytes):
+    """Deliver one out-of-band message the way the failure detector
+    does: wait out ``oob_delay`` and return the arrival time."""
+    done_at = []
+
+    def proc():
+        yield Timeout(net.oob_delay(src, dst, nbytes))
         done_at.append(eng.now)
 
     eng.spawn(proc())
@@ -174,7 +188,7 @@ class TestOutOfBand:
 
         def heartbeat():
             yield Timeout(0.001)
-            yield net.transfer(0, 1, 32, oob=True)
+            yield Timeout(net.oob_delay(0, 1, 32))
             arrivals["hb"] = eng.now
 
         eng.spawn(bulk())
@@ -190,10 +204,10 @@ class TestOutOfBand:
         model = LinkFaultModel(np.random.default_rng(0))
         model.partition(1, until=0.5)
         net.fault_model = model
-        t = run_transfer(eng, net, 0, 1, 32, oob=True)
+        t = run_oob(eng, net, 0, 1, 32)
         assert t > 0.5
 
     def test_oob_intra_machine_pays_bus_latency_only(self):
         eng, spec, net = make_net()
-        t = run_transfer(eng, net, 1, 1, 32, oob=True)
+        t = run_oob(eng, net, 1, 1, 32)
         assert t == pytest.approx(spec.machine.intra_latency_s)

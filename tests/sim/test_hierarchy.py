@@ -228,6 +228,8 @@ def rack_config(algorithm: str, collective: str | None = None) -> RunConfig:
         num_ps_shards=8 if algorithm == "bsp" else 1,
         seed=0,
         collective=collective,
+        # At GoSGD's default p=0.01 a 4-iteration run never pushes.
+        algorithm_params={"p": 0.5} if algorithm == "gosgd" else {},
     )
 
 
@@ -251,6 +253,12 @@ RACK_PINS = {
     ("ar-sgd", "hring"): (
         "7aad7796fc3a15da43efc65a5a6aa7ce5430797681b00860889a6701abebd276",
         2937,
+    ),
+    # GoSGD's blocking push is the one schedule that waits on ``tx_done``
+    # across racks.
+    ("gosgd", None): (
+        "1bb6add8b15c85a232101060fd5931a63607be7f0287b779d5a2d646ec1f6401",
+        652,
     ),
 }
 
